@@ -347,6 +347,7 @@ class directory : public p_object {
     m_owned.insert(g);
     m_owned_seq.erase(g);
     m_away.erase(g);
+    m_retired.erase(g);
     m_cache.erase(g);
   }
 
@@ -358,6 +359,7 @@ class directory : public p_object {
       m_owned.insert(g);
       m_owned_seq.erase(g); // a fresh incarnation restarts the hop chain
       m_away.erase(g);
+      m_retired.erase(g);
     }
     update_home_record(g);
   }
@@ -370,6 +372,7 @@ class directory : public p_object {
       m_owned.erase(g);
       m_owned_seq.erase(g);
       m_away.erase(g);
+      m_retired.erase(g);
       m_cache.erase(g);
     }
     location_id const home = home_of(g);
@@ -502,6 +505,7 @@ class directory : public p_object {
       m_owned.insert(g);
       m_owned_seq[g] = seq;
       m_away.erase(g);
+      m_retired.erase(g);
       m_cache.erase(g);
       m_stats.migrations_in += 1;
       STAPL_TRACE(trace::event_kind::migration,
@@ -516,7 +520,9 @@ class directory : public p_object {
   // -------------------------------------------------------------------------
 
   /// At the home: installs/overwrites the owner record of `g` and
-  /// invalidates every copyset member that cached a different owner.
+  /// invalidates every copyset member that cached a different owner — the
+  /// new owner included: a cache update the home pushed to it before it
+  /// took ownership can land after the element left it again.
   /// Invalidations are issued while the record lock is held, so they
   /// serialize against the cache updates of concurrent lookups: a cache
   /// can never end up holding an owner the home has already replaced.
@@ -561,7 +567,7 @@ class directory : public p_object {
     if (rec.owner != owner) {
       std::vector<location_id> stale;
       stale.swap(rec.copyset);
-      invalidate_copies_locked(g, owner, stale);
+      invalidate_copies_locked(g, stale);
       location_id prev = rec.owner;
       if (prev == invalid_location && m_default_owner) {
         // First update the home ever sees: the element departed a seeded
@@ -597,11 +603,20 @@ class directory : public p_object {
     stale.swap(it->second.copyset);
     std::vector<location_id> former;
     former.swap(it->second.former);
+    bool const synthesized = it->second.synthesized;
     m_registry.erase(it);
-    invalidate_copies_locked(g, invalid_location, stale);
+    if (m_default_owner && !synthesized) {
+      // The default owner may hold an m_retired mark for the dead
+      // incarnation (see retire_hint_here_locked).
+      location_id const def = m_default_owner(g);
+      if (std::find(former.begin(), former.end(), def) == former.end())
+        former.push_back(def);
+    }
+    invalidate_copies_locked(g, stale);
     for (location_id l : former) {
       if (l == get_location_id()) {
         m_away.erase(g);
+        m_retired.erase(g);
         continue;
       }
       queued_rmi<directory>(l, this->get_handle(),
@@ -684,7 +699,7 @@ class directory : public p_object {
         send_forward(next, g, std::move(f), false, requester);
         return;
       }
-      if (designated) {
+      if (designated && !m_retired.count(g)) {
         m_owned.insert(g);
         lock.unlock();
         f(get_location_id());
@@ -718,6 +733,7 @@ class directory : public p_object {
   {
     std::lock_guard lock(m_mutex);
     m_away.erase(g);
+    m_retired.erase(g);
   }
 
   /// The home retired this location's forwarding hint for `g` (a newer
@@ -725,8 +741,7 @@ class directory : public p_object {
   void handle_reclaim_hint(GID const& g)
   {
     std::lock_guard lock(m_mutex);
-    if (m_away.erase(g) != 0)
-      m_stats.hints_reclaimed += 1;
+    retire_hint_here_locked(g);
   }
 
  private:
@@ -788,12 +803,25 @@ class directory : public p_object {
     if (l == invalid_location)
       return;
     if (l == get_location_id()) {
-      if (m_away.erase(g) != 0)
-        m_stats.hints_reclaimed += 1;
+      retire_hint_here_locked(g);
       return;
     }
     queued_rmi<directory>(l, this->get_handle(),
                           [g](directory& d) { d.handle_reclaim_hint(g); });
+  }
+
+  /// Requires m_mutex held.  Drops this location's forwarding hint for `g`.
+  /// The default owner remembers that the element left (m_retired): a
+  /// forward the home designated from a synthesized record may still be
+  /// on its way here — under the direct transport it can arrive after this
+  /// reclaim — and must re-route instead of adopting the GID.
+  void retire_hint_here_locked(GID const& g)
+  {
+    if (m_away.erase(g) == 0)
+      return;
+    m_stats.hints_reclaimed += 1;
+    if (m_default_owner && m_default_owner(g) == get_location_id())
+      m_retired.insert(g);
   }
 
   /// Requires m_mutex held.  Sends are queued, never inline: an inline
@@ -802,12 +830,10 @@ class directory : public p_object {
   /// delivery preserves push order, which is all the coherence argument
   /// needs: updates and invalidations reach each location in the order
   /// the home's record lock emitted them.
-  void invalidate_copies_locked(GID const& g, location_id keep,
+  void invalidate_copies_locked(GID const& g,
                                 std::vector<location_id> const& targets)
   {
     for (location_id l : targets) {
-      if (l == keep)
-        continue;
       if (l == get_location_id()) {
         m_cache.erase(g);
         m_stats.invalidations += 1;
@@ -952,7 +978,7 @@ class directory : public p_object {
         send_forward(next, g, std::move(f), false, requester);
         return true;
       }
-      if (!adoptable)
+      if (!adoptable || m_retired.count(g))
         return false; // record outran an in-flight move: park and retry
       m_owned.insert(g); // synthesized record with no element/hint: adopt
       lock.unlock();
@@ -1022,6 +1048,10 @@ class directory : public p_object {
   /// on departure/erase — not a per-history map.
   std::unordered_map<GID, std::uint32_t, Hash> m_owned_seq;
   std::unordered_map<GID, location_id, Hash> m_away;
+  /// GIDs whose default owner is this location and whose element left it
+  /// with its forwarding hint since reclaimed (retire_hint_here_locked):
+  /// never adopted on a designated forward.
+  std::unordered_set<GID, Hash> m_retired;
   std::unordered_map<GID, location_id, Hash> m_cache;
   directory_stats m_stats;
   /// Load-balancing support: owner-side access counting (note_access).

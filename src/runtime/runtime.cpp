@@ -26,16 +26,20 @@ void rmi_fence()
     // The first barrier must poll while waiting: a peer may still be blocked
     // in a sync_rmi whose request landed in our inbox after we drained.
     polling_barrier_wait();
-    // After the barrier no location starts a new poll this round, but one
-    // poll per location may straddle the barrier release and still send
-    // messages.  Wait for those to retire so the counters are frozen and all
-    // locations take the same verdict.
+    // One poll per location may straddle the barrier release and still send
+    // messages.  polling_barrier_wait counts a waiter in active_polls before
+    // it tests the release, so once this location has seen the release and
+    // then active_polls == 0, no location starts a new poll this round: the
+    // counters are frozen and every location takes the same verdict.
+    // Executed is read before sent: both only grow and executed never
+    // passes sent, so a read that races traffic can only say "not yet".
     deadline_backoff bo("rmi.fence");
-    while (impl.active_polls.load(std::memory_order_acquire) != 0)
+    while (impl.active_polls.load(std::memory_order_seq_cst) != 0)
       bo.pause();
+    std::uint64_t const executed =
+        impl.total_executed.load(std::memory_order_seq_cst);
     bool const quiesced =
-        impl.total_sent.load(std::memory_order_acquire) ==
-        impl.total_executed.load(std::memory_order_acquire);
+        impl.total_sent.load(std::memory_order_seq_cst) == executed;
     impl.barrier().arrive_and_wait();
     if (quiesced)
       return;

@@ -189,20 +189,22 @@ class spmd_barrier {
  public:
   explicit spmd_barrier(unsigned n) noexcept : m_n(n) {}
 
-  /// Registers arrival; returns the generation token to wait on.
+  /// Registers arrival; returns the generation token to wait on.  The
+  /// generation is seq_cst: rmi_fence relies on its order against
+  /// `runtime_impl::active_polls` (see polling_barrier_wait).
   [[nodiscard]] unsigned arrive() noexcept
   {
-    unsigned const gen = m_generation.load(std::memory_order_acquire);
+    unsigned const gen = m_generation.load(std::memory_order_seq_cst);
     if (m_count.fetch_add(1, std::memory_order_acq_rel) + 1 == m_n) {
       m_count.store(0, std::memory_order_relaxed);
-      m_generation.fetch_add(1, std::memory_order_release);
+      m_generation.fetch_add(1, std::memory_order_seq_cst);
     }
     return gen;
   }
 
   [[nodiscard]] bool passed(unsigned gen) const noexcept
   {
-    return m_generation.load(std::memory_order_acquire) != gen;
+    return m_generation.load(std::memory_order_seq_cst) != gen;
   }
 
   void arrive_and_wait() noexcept
@@ -276,10 +278,11 @@ class inbox {
 /// Registry of p_object representatives on one location.
 class object_registry {
  public:
-  void insert(rmi_handle h, void* p)
+  void insert(std::vector<std::pair<rmi_handle, void*>> const& objs)
   {
     std::lock_guard lock(m_mutex);
-    m_objects[h] = p;
+    for (auto const& [h, p] : objs)
+      m_objects[h] = p;
   }
 
   void erase(rmi_handle h)
@@ -353,6 +356,10 @@ struct held_msg {
 struct location_state {
   inbox in;
   object_registry registry;
+  /// Representatives constructed here but not yet in `registry` (owner
+  /// thread only): published the next time the location enters the RTS,
+  /// so no peer reaches one before its most-derived constructor finished.
+  std::vector<std::pair<rmi_handle, void*>> unpublished;
   std::deque<request> deferred; ///< requests whose target is not yet registered
   /// deferred.size() mirror readable from other threads (watchdog dump)
   std::atomic<std::uint32_t> deferred_depth{0};
@@ -415,9 +422,11 @@ class runtime_impl {
 
   std::atomic<std::uint64_t> total_sent{0};
   std::atomic<std::uint64_t> total_executed{0};
-  /// Number of locations currently inside poll_once; the fence takes its
-  /// termination verdict only when this is zero, so the sent/executed
-  /// counters are frozen while being read.
+  /// Number of locations currently inside poll_once or about to test a
+  /// polling barrier; the fence takes its termination verdict only when
+  /// this is zero, so the sent/executed counters are frozen while being
+  /// read.  seq_cst, like the barrier generation (see
+  /// polling_barrier_wait).
   std::atomic<int> active_polls{0};
 
  private:
@@ -488,6 +497,25 @@ inline void reset_my_stats() noexcept
 
 namespace runtime_detail {
 
+/// Makes the representatives the calling location has constructed since it
+/// last entered the RTS reachable (see location_state::unpublished).  Every
+/// entry point runs this first — polls (hence barriers, fences and every
+/// blocking wait), RMI sends, post_to_self and local registry lookups — so
+/// a location can only block on a peer after publishing, and a peer waiting
+/// in lookup_wait is never waiting on a location that is itself blocked.
+inline void publish_constructed(location_state& self)
+{
+  if (self.unpublished.empty())
+    return;
+  self.registry.insert(self.unpublished);
+  self.unpublished.clear();
+}
+
+inline void publish_constructed()
+{
+  publish_constructed(rt().loc(tl_location));
+}
+
 /// Hands one destination's aggregation buffer to its inbox as a single
 /// message, updating the message and batching counters.
 inline void flush_dest(location_state& self, location_id d)
@@ -524,11 +552,12 @@ inline void flush_aggregation()
 inline bool poll_once()
 {
   struct poll_guard {
-    poll_guard() { rt().active_polls.fetch_add(1, std::memory_order_acq_rel); }
-    ~poll_guard() { rt().active_polls.fetch_sub(1, std::memory_order_acq_rel); }
+    poll_guard() { rt().active_polls.fetch_add(1, std::memory_order_seq_cst); }
+    ~poll_guard() { rt().active_polls.fetch_sub(1, std::memory_order_seq_cst); }
   } guard;
 
   auto& self = rt().loc(tl_location);
+  publish_constructed(self);
   STAPL_FAULT_POINT(fault::site::rmi_poll); // straggler nap
   flush_aggregation();
 
@@ -625,6 +654,7 @@ template <typename... Ts>
 inline void enqueue_remote(location_id dest, request r, std::size_t bytes = 0)
 {
   auto& self = rt().loc(tl_location);
+  publish_constructed(self);
   self.stats.rmis_sent += 1;
   self.stats.rmi_bytes += bytes;
   STAPL_TRACE(trace::event_kind::rmi_send, bytes);
@@ -679,15 +709,19 @@ inline void enqueue_remote(location_id dest, request r, std::size_t bytes = 0)
     flush_dest(self, dest);
 }
 
-/// Looks up a registered object on `loc`, spinning until it appears (bounded
-/// by SPMD program order: the sender can only know the handle after the
-/// owner's construction statement).
+/// Looks up a registered object on `loc`, spinning until it appears.  The
+/// representative appears once `loc` has finished constructing it and has
+/// entered the RTS again (publish_constructed); the wait is bounded because
+/// the sender can only know the handle after its own construction
+/// statement, and `loc` publishes before it can block on anything.
 template <typename Obj>
 [[nodiscard]] Obj* lookup_wait(location_id loc, rmi_handle h)
 {
   // Deadline-covered but non-polling: this can run inside a poll handler
   // (get_registered_object_at from forwarded work), where re-entering
-  // poll_once would recurse.
+  // poll_once would recurse.  Publishing our own representatives first
+  // keeps a peer spinning on us from waiting while we spin on it.
+  publish_constructed();
   deadline_backoff bo("rmi.lookup");
   for (;;) {
     if (void* p = rt().loc(loc).registry.lookup(h))
@@ -721,11 +755,14 @@ template <typename T>
 [[nodiscard]] T* get_registered_object(rmi_handle h)
 {
   using namespace runtime_detail;
-  return static_cast<T*>(rt().loc(this_location()).registry.lookup(h));
+  auto& self = rt().loc(this_location());
+  publish_constructed(self);
+  return static_cast<T*>(self.registry.lookup(h));
 }
 
 /// Representative of a registered p_object on location `loc` (spins until
-/// the owner's construction statement registers it).  Routed work (e.g. a
+/// `loc` has finished constructing it and entered the RTS again, see
+/// lookup_wait).  Routed work (e.g. a
 /// directory-forwarded request) uses this to reach the representative it
 /// was delivered to: under the direct transport handlers execute on caller
 /// threads, so this_location() does not identify the executing
@@ -752,6 +789,7 @@ void post_to_self(F f)
 {
   using namespace runtime_detail;
   auto& self = rt().loc(this_location());
+  publish_constructed(self);
   self.stats.rmis_sent += 1;
   rt().total_sent.fetch_add(1, std::memory_order_acq_rel);
   self.in.push([f = std::move(f)]() mutable -> bool {
@@ -769,13 +807,28 @@ namespace runtime_detail {
 /// Barrier that keeps servicing incoming RMIs while waiting, so a peer
 /// blocked on a synchronous response from this location cannot deadlock the
 /// collective.
+///
+/// A waiter counts itself in `active_polls` *before* it tests the
+/// generation and leaves only after its poll, both seq_cst.  So once any
+/// location has seen the barrier released and then `active_polls == 0`,
+/// every other waiter either is still counted or will see the release
+/// without starting another poll: rmi_fence's counters are frozen.
 inline void polling_barrier_wait()
 {
-  auto& b = rt().barrier();
+  auto& impl = rt();
+  auto& b = impl.barrier();
+  publish_constructed();
   unsigned const gen = b.arrive();
   deadline_backoff bo("rmi.barrier");
-  while (!b.passed(gen)) {
-    if (poll_once())
+  for (;;) {
+    impl.active_polls.fetch_add(1, std::memory_order_seq_cst);
+    if (b.passed(gen)) {
+      impl.active_polls.fetch_sub(1, std::memory_order_seq_cst);
+      return;
+    }
+    bool const progressed = poll_once();
+    impl.active_polls.fetch_sub(1, std::memory_order_seq_cst);
+    if (progressed)
       bo.reset();
     else
       bo.pause();
@@ -808,6 +861,15 @@ inline constexpr single_location_t single_location{};
 /// each location registers with the RTS to enable RMIs between the
 /// representatives.  Collective construction (default) must happen in the
 /// same order on all locations, like any SPMD registration scheme.
+///
+/// Registration is two-step: the constructor only queues the
+/// representative on its location, and the location publishes it the next
+/// time it enters the RTS (publish_constructed).  A peer therefore never
+/// runs a handler on a representative whose derived members are still
+/// being initialised.  A derived constructor that itself enters the RTS
+/// (a fence, a collective, an RMI) publishes at that point, so it must have
+/// initialised whatever handlers touch before doing so.  Representatives
+/// are constructed and destroyed on their own location.
 class p_object {
  public:
   p_object()
@@ -817,7 +879,8 @@ class p_object {
         m_location(this_location()),
         m_num_locations(num_locations())
   {
-    runtime_detail::rt().loc(m_location).registry.insert(m_handle, this);
+    runtime_detail::rt().loc(m_location).unpublished.emplace_back(m_handle,
+                                                                  this);
   }
 
   explicit p_object(single_location_t)
@@ -827,7 +890,8 @@ class p_object {
         m_location(this_location()),
         m_num_locations(1)
   {
-    runtime_detail::rt().loc(m_location).registry.insert(m_handle, this);
+    runtime_detail::rt().loc(m_location).unpublished.emplace_back(m_handle,
+                                                                  this);
   }
 
   p_object(p_object const&) = delete;
@@ -835,7 +899,14 @@ class p_object {
 
   virtual ~p_object()
   {
-    runtime_detail::rt().loc(m_location).registry.erase(m_handle);
+    auto& loc = runtime_detail::rt().loc(m_location);
+    auto const it = std::find_if(
+        loc.unpublished.begin(), loc.unpublished.end(),
+        [this](auto const& e) { return e.first == m_handle; });
+    if (it != loc.unpublished.end())
+      loc.unpublished.erase(it); // never reached a peer
+    else
+      loc.registry.erase(m_handle);
   }
 
   [[nodiscard]] rmi_handle get_handle() const noexcept { return m_handle; }
@@ -948,6 +1019,7 @@ void async_rmi(location_id dest, rmi_handle h, F f, Args... args)
   using namespace runtime_detail;
   if (dest == this_location()) {
     auto& self = rt().loc(dest);
+    publish_constructed(self);
     self.stats.local_rmis += 1;
     Obj* o = static_cast<Obj*>(self.registry.lookup(h));
     assert(o != nullptr && "async_rmi: local object not registered");
@@ -977,6 +1049,7 @@ template <typename Obj, typename F, typename... Args>
 
   if (dest == this_location()) {
     auto& self = rt().loc(dest);
+    publish_constructed(self);
     self.stats.local_rmis += 1;
     Obj* o = static_cast<Obj*>(self.registry.lookup(h));
     assert(o != nullptr && "sync_rmi: local object not registered");
@@ -1038,6 +1111,7 @@ template <typename Obj, typename F, typename... Args>
 
   if (dest == this_location()) {
     auto& self = rt().loc(dest);
+    publish_constructed(self);
     self.stats.local_rmis += 1;
     Obj* o = static_cast<Obj*>(self.registry.lookup(h));
     assert(o != nullptr && "opaque_rmi: local object not registered");

@@ -445,6 +445,7 @@ TEST_P(directory_test, MultimapMigratesEqualRangeAtomically)
         pm.insert_async(k, 10 + v);
     rmi_fence();
     EXPECT_EQ(pm.size(), 3u);
+    rmi_fence(); // size() is one-sided: every count finishes before the move
 
     if (this_location() == 1)
       migrate(pm, k, 2);
@@ -487,6 +488,7 @@ TEST_P(directory_test, MultisetMigratesEqualRangeAtomically)
     rmi_fence();
     EXPECT_EQ(ps.size(), 4u);
     EXPECT_EQ(ps.count(k), 4u);
+    rmi_fence(); // size() is one-sided: every count finishes before the move
 
     if (this_location() == 3)
       migrate(ps, k, 1);
@@ -586,6 +588,7 @@ TEST_P(directory_test, GraphVertexMigration)
     EXPECT_EQ(g.get_vertex_property(100), 0);
     EXPECT_EQ(g.out_degree(100), 1u);
     EXPECT_EQ(g.get_num_edges(), static_cast<std::size_t>(num_locations()));
+    rmi_fence(); // every location reads the property before it is set
 
     // Methods still route correctly post-migration.
     if (this_location() == 3)

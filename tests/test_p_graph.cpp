@@ -67,6 +67,7 @@ TEST_P(PGraphStatic, VertexProperties)
     rmi_fence();
     for (vertex_descriptor v = 0; v < 16; ++v)
       EXPECT_EQ(g.get_vertex_property(v), static_cast<int>(v * 10));
+    rmi_fence(); // every location reads vertex 3 before it is mutated
     // apply_vertex mutates in place.
     if (this_location() == 0)
       g.apply_vertex(3, [](auto& rec) { rec.property += 1; });

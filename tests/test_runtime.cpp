@@ -8,25 +8,29 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace {
 
 using namespace stapl;
 
-/// Minimal shared counter object used to exercise the RMI layer.
+/// Minimal shared counter object used to exercise the RMI layer.  The
+/// counter is atomic: under the direct transport handlers run concurrently
+/// on the callers' threads, and the RTS leaves locking to the object.
 class counter_object : public p_object {
  public:
-  void add(int v) { m_value += v; }
-  [[nodiscard]] int get() const { return m_value; }
+  void add(int v) { m_value.fetch_add(v); }
+  [[nodiscard]] int get() const { return m_value.load(); }
   void append(int v) { m_log.push_back(v); }
   [[nodiscard]] std::vector<int> const& log() const { return m_log; }
 
  private:
-  int m_value = 0;
+  std::atomic<int> m_value{0};
   std::vector<int> m_log;
 };
 
@@ -258,6 +262,78 @@ TEST(Runtime, DirectTransportEquivalence)
     EXPECT_EQ(v, 10 * static_cast<int>(num_locations()));
     rmi_fence();
   });
+}
+
+// A representative is reachable only once its most-derived constructor has
+// finished: location 0 initialises a member slowly while every peer RMIs it
+// straight after its own construction.  Handlers must see the initialised
+// member, and the bumps they make must not be overwritten by the member
+// initialisers that run after the slow one.
+std::atomic<bool> g_slow_owner_constructed{false};
+std::atomic<int> g_early_handler_runs{0};
+
+class slow_init_object : public p_object {
+ public:
+  slow_init_object()
+  {
+    if (this_location() == 0)
+      g_slow_owner_constructed.store(true);
+  }
+
+  int probe()
+  {
+    if (!g_slow_owner_constructed.load())
+      g_early_handler_runs.fetch_add(1);
+    return m_value;
+  }
+  void bump() { ++m_bumps; }
+  [[nodiscard]] int bumps() const { return m_bumps; }
+
+ private:
+  static int slow_value()
+  {
+    if (this_location() == 0)
+      std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    return 7;
+  }
+
+  int m_value = slow_value();
+  int m_bumps = 0;
+};
+
+class construction_race : public ::testing::TestWithParam<transport_kind> {};
+
+INSTANTIATE_TEST_SUITE_P(Transports, construction_race,
+                         ::testing::Values(transport_kind::queue,
+                                           transport_kind::direct),
+                         [](auto const& info) {
+                           return info.param == transport_kind::queue
+                                      ? "queue"
+                                      : "direct";
+                         });
+
+TEST_P(construction_race, RmiWaitsForMostDerivedConstructor)
+{
+  g_slow_owner_constructed.store(false);
+  g_early_handler_runs.store(0);
+  runtime_config cfg;
+  cfg.num_locations = 4;
+  cfg.transport = GetParam();
+  execute(cfg, [] {
+    slow_init_object obj;
+    if (this_location() != 0) {
+      async_rmi<slow_init_object>(0, obj.get_handle(), &slow_init_object::bump);
+      EXPECT_EQ(sync_rmi<slow_init_object>(0, obj.get_handle(),
+                                           &slow_init_object::probe),
+                7);
+    }
+    rmi_fence();
+    if (this_location() == 0)
+      EXPECT_EQ(obj.bumps(), static_cast<int>(num_locations()) - 1);
+    rmi_fence();
+  });
+  EXPECT_EQ(g_early_handler_runs.load(), 0)
+      << "a handler ran before the representative's constructor finished";
 }
 
 TEST(Runtime, AggregationReducesMessageCount)
