@@ -11,23 +11,22 @@
 //   3. local elements are partitioned by splitter and shipped to their
 //      bucket's location in bulk asynchronous batches;
 //   4. each location sorts its bucket;
-//   5. the sorted sequence is written back to the container in order: each
-//      location's start offset arrives as a value-carrying dependence from
-//      its left neighbour (an offset chain on the task-graph executor), so
-//      no bucket-size allgather is needed; the write-back itself is
-//      coarsened into chunk tasks sized by the container's adaptive grain
-//      hint (locality pipeline).
+//   5. the sorted sequence is written back in global order: the bucket
+//      sizes are allgathered, each location's exclusive prefix is its
+//      bucket's first GID, and the bucket goes back with one set_elements
+//      range write (one RMI per owner the range touches, the local run
+//      written in place), completed by a fence.
 //
 // Sorts any indexed container with 1D gids (pArray, pVector).
 
 #include <algorithm>
 #include <cstddef>
 #include <functional>
+#include <mutex>
 #include <random>
 #include <vector>
 
 #include "../runtime/runtime.hpp"
-#include "../runtime/task_graph.hpp"
 #include "../views/views.hpp"
 
 namespace stapl {
@@ -103,68 +102,14 @@ void p_sample_sort(C& arr, Compare cmp = {})
   std::sort(bucket.elems.begin(), bucket.elems.end(), cmp);
 
   // 5. Write back in global order: bucket l starts where buckets 0..l-1
-  //    end.  The running offset travels down a task chain as a dependence
-  //    value (each location's chain task adds its bucket size), and the
-  //    write-back is coarsened into chunk tasks over the local bucket —
-  //    grain from the container's adaptive hint (the locality pipeline's
-  //    grain feedback).  The spawn exchange is metadata-only like every
-  //    chunked factory: each location allgathers compact chunk_wire
-  //    records (element/byte counts; the target GIDs depend on the
-  //    offset chain, so no digest bounds) to keep the replicated
-  //    descriptor aligned, counted by spawn_bytes and fed back into the
-  //    container's epoch task stats so the counter stays observable.
-  //    The tasks themselves stay owner-pinned — they read the
-  //    location-local bucket — so no payload ever needs to travel.  Every chunk fires as soon as its
-  //    location's offset arrives — no size allgather, no phase barrier.
-  {
-    std::size_t const grain = std::max<std::size_t>(
-        1, arr.tuned_grain(default_grain(arr.size())));
-    task_graph<std::size_t> tg;
-    tg.set_stealing(false);  // tasks touch this location's bucket
-    using tid = task_graph<std::size_t>::task_id;
-    std::vector<tid> chain(p);
-    for (unsigned l = 0; l < p; ++l) {
-      chain[l] = tg.add_task(
-          l, [&bucket](std::vector<std::size_t> const& ins, char const&) {
-            return (ins.empty() ? 0 : ins[0]) + bucket.elems.size();
-          });
-      if (l > 0)
-        tg.add_dependence(chain[l - 1], chain[l]);
-    }
-    std::vector<chunk_wire> my_wires;
-    my_wires.reserve((bucket.elems.size() + grain - 1) / grain);
-    for (std::size_t b = 0; b < bucket.elems.size(); b += grain) {
-      chunk_wire w;
-      w.owner = this_location();
-      w.elements = std::min(grain, bucket.elems.size() - b);
-      w.bytes = w.elements * sizeof(T);
-      my_wires.push_back(w);
-    }
-    tg.note_spawn_bytes(static_cast<std::uint64_t>(packed_size(my_wires)) *
-                        (p - 1));
-    auto const all = allgather(my_wires);
-    for (unsigned l = 0; l < p; ++l) {
-      for (std::size_t k = 0; k < all[l].size(); ++k) {
-        tid const wb = tg.add_task(
-            l,
-            [&bucket, &arr, k, grain](std::vector<std::size_t> const& ins,
-                                      char const&) {
-              std::size_t const offset = ins.empty() ? 0 : ins[0];
-              std::size_t const b = k * grain;
-              std::size_t const e =
-                  std::min(bucket.elems.size(), b + grain);
-              for (std::size_t i = b; i < e; ++i)
-                arr.set_element(offset + i, std::move(bucket.elems[i]));
-              return std::size_t{0};
-            },
-            {}, tg_detail::wire_options(all[l][k], false));
-        if (l > 0)
-          tg.add_dependence(chain[l - 1], wb);
-      }
-    }
-    tg.execute();
-    arr.note_task_graph_stats(tg.stats());
-  }
+  //    end, so each location's offset is the exclusive prefix of the
+  //    allgathered bucket sizes.
+  auto const sizes = allgather(bucket.elems.size());
+  std::size_t offset = 0;
+  for (unsigned l = 0; l < this_location(); ++l)
+    offset += sizes[l];
+  arr.set_elements(offset, std::move(bucket.elems));
+  rmi_fence();
 }
 
 /// Collective check that a container's elements are globally sorted:

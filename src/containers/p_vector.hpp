@@ -181,18 +181,16 @@ class p_vector final
   /// Indexed access clamped against the *live* block size: between flushes
   /// the replicated snapshot may lag behind dynamic operations, so the
   /// owner clamps the local offset rather than running off the block
-  /// (exact again after flush()).
-  void set_element(gid_type idx, T val)
+  /// (exact again after flush()).  The owner-side store of set_element,
+  /// set_element_sync and set_elements.
+  void write_local(gid_type idx, bcid_type b, T val)
   {
-    this->invoke(MP_SET_ELEMENT, idx,
-                 [idx, val = std::move(val)](p_vector& c, bcid_type b) {
-                   auto& bc = c.bc(b);
-                   if (bc.size() == 0)
-                     return;
-                   std::size_t const li = std::min(
-                       c.partition().local_index(idx), bc.size() - 1);
-                   bc.set(li, val);
-                 });
+    auto& bc = this->bc(b);
+    if (bc.size() == 0)
+      return;
+    std::size_t const li =
+        std::min(this->partition().local_index(idx), bc.size() - 1);
+    bc.set(li, std::move(val));
   }
 
   [[nodiscard]] T get_element(gid_type idx)

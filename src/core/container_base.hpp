@@ -941,13 +941,120 @@ class p_container_indexed : public SizeBase<Derived, Traits> {
     this->m_dyn_index[gid] = migrated_bcid;
   }
 
+  /// Owner-side store of one element: what every indexed write performs at
+  /// the owner.  Containers whose storage can lag their index snapshot
+  /// hide it with their own (p_vector clamps to the live block size).
+  void write_local(gid_type gid, bcid_type b, value_type val)
+  {
+    element_at(gid, b) = std::move(val);
+  }
+
   /// Asynchronous write (no return value — Ch. V.B asynchronous methods).
   void set_element(gid_type gid, value_type val)
   {
     this->invoke(MP_SET_ELEMENT, gid,
                  [gid, val = std::move(val)](Derived& c, bcid_type b) {
-                   c.element_at(gid, b) = val;
+                   c.write_local(gid, b, val);
                  });
+  }
+
+  /// Asynchronous range write: `values[i]` becomes the element of GID
+  /// `first + i`; complete by the next rmi_fence, like set_element.  The
+  /// range is cut into per-owner runs by resolve() (closed form, no
+  /// directory round trip), each remote owner receives one RMI carrying
+  /// its runs and values, and the local runs are written in place.  Every
+  /// element is stored through write_local, under one data_access_pre/post
+  /// per run.  After make_dynamic() a GID that has migrated away from its
+  /// closed-form owner falls back to the routed set_element.
+  void set_elements(gid_type first, std::vector<value_type> values)
+    requires std::is_integral_v<gid_type>
+  {
+    location_id const p = num_locations();
+    std::vector<std::vector<gid_run>> runs(p);
+    std::vector<std::vector<value_type>> vals(p);
+    ths_info ti{MP_SET_ELEMENT, invalid_bcid};
+    this->m_ths.metadata_access_pre(ti);
+    bcid_type run_bcid = invalid_bcid;
+    location_id run_loc = invalid_location;
+    for (std::size_t i = 0; i != values.size(); ++i) {
+      gid_type const g = first + static_cast<gid_type>(i);
+      auto const r = this->derived().resolve(g);
+      assert(r.loc < p && "set_elements: GID outside the domain");
+      if (r.bcid != run_bcid || r.loc != run_loc) {
+        run_bcid = r.bcid;
+        run_loc = r.loc;
+        runs[r.loc].push_back({static_cast<std::uint64_t>(g), 0});
+      }
+      runs[r.loc].back().count += 1;
+      vals[r.loc].push_back(std::move(values[i]));
+    }
+    this->m_ths.metadata_access_post(ti);
+
+    for (location_id l = 0; l != p; ++l) {
+      if (runs[l].empty())
+        continue;
+      if (l == this->get_location_id())
+        write_runs(runs[l], std::move(vals[l]));
+      else
+        async_rmi<Derived>(
+            l, this->get_handle(),
+            [](Derived& c, auto&& rs, auto&& vs) {
+              c.write_runs(rs, std::move(vs));
+            },
+            std::move(runs[l]), std::move(vals[l]));
+    }
+  }
+
+  /// Framework-internal: owner side of set_elements.  `values` holds the
+  /// runs' elements back to back.  Elements this location does not own
+  /// (migrated away, or a snapshot that disagrees with the sender's) are
+  /// re-sent through the routed set_element from a later poll.
+  void write_runs(std::vector<gid_run> const& runs,
+                  std::vector<value_type> values)
+  {
+    std::vector<std::pair<gid_type, value_type>> missed;
+    std::size_t v = 0;
+    for (gid_run const& run : runs) {
+      auto const g0 = static_cast<gid_type>(run.first);
+      if (this->is_dynamic()) {
+        typename base::dyn_guard guard(*this);
+        ths_info ti{MP_SET_ELEMENT, this->partition().get_info(g0)};
+        this->m_ths.data_access_pre(ti);
+        for (std::uint64_t i = 0; i != run.count; ++i, ++v) {
+          gid_type const g = g0 + static_cast<gid_type>(i);
+          if (this->get_directory().owns(g)) {
+            this->get_directory().note_access(g);
+            this->derived().write_local(g, this->derived().dyn_local_bcid(g),
+                                        std::move(values[v]));
+          } else {
+            missed.emplace_back(g, std::move(values[v]));
+          }
+        }
+        this->m_ths.data_access_post(ti);
+        continue;
+      }
+      auto const r = this->derived().resolve(g0);
+      if (!r.resolved || r.loc != this->get_location_id()) {
+        for (std::uint64_t i = 0; i != run.count; ++i, ++v)
+          missed.emplace_back(g0 + static_cast<gid_type>(i),
+                              std::move(values[v]));
+        continue;
+      }
+      ths_info ti{MP_SET_ELEMENT, r.bcid};
+      this->m_ths.data_access_pre(ti);
+      for (std::uint64_t i = 0; i != run.count; ++i, ++v)
+        this->derived().write_local(g0 + static_cast<gid_type>(i), r.bcid,
+                                    std::move(values[v]));
+      this->m_ths.data_access_post(ti);
+    }
+    if (missed.empty())
+      return;
+    rmi_handle const h = this->get_handle();
+    post_to_self([h, missed = std::move(missed)]() mutable {
+      auto* c = get_registered_object<Derived>(h);
+      for (auto& [g, x] : missed)
+        c->set_element(g, std::move(x));
+    });
   }
 
   /// Synchronous write: returns only after the write has been applied at the
@@ -958,7 +1065,7 @@ class p_container_indexed : public SizeBase<Derived, Traits> {
     (void)this->invoke_ret(MP_SET_ELEMENT, gid,
                            [gid, val = std::move(val)](Derived& c,
                                                        bcid_type b) {
-                             c.element_at(gid, b) = val;
+                             c.write_local(gid, b, val);
                              return true;
                            });
   }

@@ -24,6 +24,8 @@
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 namespace {
 
 using namespace stapl;
@@ -31,6 +33,13 @@ using namespace stapl;
 // ---------------------------------------------------------------------------
 // Helpers
 // ---------------------------------------------------------------------------
+
+/// A file name in the working directory unique to this process, so that
+/// concurrent runs of this binary do not overwrite each other's traces.
+std::string per_process_path(std::string const& stem)
+{
+  return stem + "." + std::to_string(::getpid()) + ".json";
+}
 
 /// Leaves tracing off and all rings released, whatever the test did.
 struct trace_guard {
@@ -388,7 +397,7 @@ TEST(InstrumentTest, DumpRoundTripsThroughJsonParser)
   trace::emit(trace::event_kind::epoch_advance, 2);
   trace::detach();
 
-  std::string const path = "test_instrument_trace.json";
+  std::string const path = per_process_path("test_instrument_trace");
   ASSERT_TRUE(trace::dump(path));
 
   std::ifstream in(path);
@@ -465,7 +474,7 @@ TEST(InstrumentTest, DefaultMaskRecordsEveryKind)
 TEST(InstrumentTest, StreamingSinkFlushesRetiredRingsIncrementally)
 {
   trace_guard guard;
-  std::string const path = "test_instrument_stream.json";
+  std::string const path = per_process_path("test_instrument_stream");
   trace::enable(8); // tiny ring: forces many mid-run flushes
   ASSERT_TRUE(trace::stream_to(path));
   EXPECT_TRUE(trace::streaming());
@@ -516,7 +525,7 @@ TEST(InstrumentTest, StreamingSinkFlushesRetiredRingsIncrementally)
 TEST(InstrumentTest, StreamedServeStyleRunKeepsEventsUnderKindMask)
 {
   trace_guard guard;
-  std::string const path = "test_instrument_stream_masked.json";
+  std::string const path = per_process_path("test_instrument_stream_masked");
   trace::enable(16, /*keep_last=*/false,
                 trace::kind_bit(trace::event_kind::fence) |
                     trace::kind_bit(trace::event_kind::rebalance_wave) |
